@@ -216,7 +216,8 @@ int main(int Argc, const char **Argv) {
       "reference (pre-batching) drain as an in-binary baseline");
   Parser.addFlag("quick", "Cut workload sizes for CI smoke runs");
   Parser.addUnsigned("sim-threads", 2,
-                     "Engine threads for the miss-drain section");
+                     "Engine threads for the miss-drain section (>= 2: the "
+                     "drain reads per-thread shard buffers)");
   Parser.addUnsigned("repeats", 0,
                      "Timed repeats per section (0 = 3 quick / 5 full)");
   Parser.addString("json", "micro_hotpath.json",
@@ -229,13 +230,17 @@ int main(int Argc, const char **Argv) {
   bool Quick = Parser.getFlag("quick");
   auto SimThreads =
       static_cast<uint32_t>(Parser.getUnsigned("sim-threads"));
+  if (SimThreads < 2) {
+    std::fprintf(stderr, "error: --sim-threads must be at least 2\n");
+    return 1;
+  }
   auto Repeats = static_cast<uint32_t>(Parser.getUnsigned("repeats"));
   if (Repeats == 0)
     Repeats = Quick ? 3 : 5;
   uint64_t TrackedAccesses = Quick ? 4u << 20 : 32u << 20;
   uint32_t DrainIters = Quick ? 3 : 8;
   uint64_t DrainMissesPerShard =
-      (Quick ? 2u << 20 : 8u << 20) / std::max(1u, SimThreads) / 10;
+      (Quick ? 2u << 20 : 8u << 20) / SimThreads / 10;
 
   // One topology probe provides both provenance fields: the cached
   // hardware-thread count (the same value Runtime caches at construction
@@ -266,7 +271,7 @@ int main(int Argc, const char **Argv) {
 
   std::string TracePath = Parser.getString("trace-tmp");
   std::vector<std::vector<uint64_t>> Streams =
-      makeMissStreams(std::max(1u, SimThreads), DrainMissesPerShard);
+      makeMissStreams(SimThreads, DrainMissesPerShard);
   std::vector<SectionResult> ReferenceRuns, BatchedRuns;
   for (uint32_t R = 0; R < Repeats; ++R)
     ReferenceRuns.push_back(benchMissDrain(

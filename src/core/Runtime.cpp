@@ -7,7 +7,6 @@
 #include "obs/TimeSeries.h"
 #include "fault/FaultInjection.h"
 #include "obs/Trace.h"
-#include "sim/SimdProbe.h"
 #include "sim/Tlb.h"
 #include "support/Logging.h"
 
@@ -339,10 +338,9 @@ Runtime::Runtime(RuntimeConfig ConfigIn)
 
 Runtime::~Runtime() {
   // The accept thread captures `this`; it must be gone before any member
-  // it reads (and before the lookahead teardown churns placement).
+  // it reads.
   if (StatsServer)
     StatsServer->stop();
-  shutdownLookahead();
 }
 
 void Runtime::parallelTracked(uint64_t Begin, uint64_t End,
@@ -376,18 +374,6 @@ void Runtime::profilingStop() { Profiler.stop(); }
 mem::MigrationResult Runtime::optimize() {
   if (Profiler.isActive())
     Profiler.stop();
-
-  if (Config.Lookahead.Enabled) {
-    // Settle the overlapped staging copies before anything reads their
-    // outcome, then let the adaptive scheduler skip the whole epoch when
-    // placement has converged — no analysis, no decision-log epoch, no
-    // migrations, nothing staged to resolve.
-    joinLookaheadCopies();
-    if (skipConvergedEpoch())
-      return {};
-    EpochRenominated = 0;
-    EpochRollbacks = 0;
-  }
 
   // Epoch bookkeeping for the time-series sample built at the bottom.
   // Wall-clock is only read when somebody consumes it, so a runtime with
@@ -455,14 +441,6 @@ mem::MigrationResult Runtime::optimize() {
     return nullptr;
   };
 
-  // Epoch boundary of the lookahead pipeline: staged-ahead ranges the
-  // fresh plan confirms commit here for the price of a remap (their copy
-  // already ran overlapped with compute); mispredictions evaporate. Runs
-  // before demotions/promotions so the demand path below sees committed
-  // chunks as already placed and never re-migrates them.
-  if (Config.Lookahead.Enabled)
-    resolveStagedAhead(Result);
-
   // Chunks a previous epoch had to leave behind are re-nominated this
   // epoch alongside the fresh plan.
   std::vector<SkippedChunk> PrevSkipped = std::move(Skipped);
@@ -500,7 +478,6 @@ mem::MigrationResult Runtime::optimize() {
             PrevSkipped[I].Target != sim::TierId::Fast)
           continue;
         Consumed[I] = 1;
-        ++EpochRenominated;
         countRenominated();
         recordDecisionEvents(Obj, {PrevSkipped[I].Range}, sim::TierId::Fast,
                              obs::DecisionPhase::Renominated,
@@ -538,7 +515,6 @@ mem::MigrationResult Runtime::optimize() {
           PrevSkipped[J].Target != sim::TierId::Fast)
         continue;
       Consumed[J] = 1;
-      ++EpochRenominated;
       countRenominated();
       recordDecisionEvents(Obj, {PrevSkipped[J].Range}, sim::TierId::Fast,
                            obs::DecisionPhase::Renominated,
@@ -549,14 +525,6 @@ mem::MigrationResult Runtime::optimize() {
       promoteWithRecovery(Mig, Obj, std::move(Pending), priorityOf(Id),
                           Result);
   }
-  // Predict and stage next epoch's hot chunks, then launch the overlapped
-  // copy; finally update the adaptive scheduler's convergence accounting.
-  if (Config.Lookahead.Enabled &&
-      Config.Mechanism == MigrationMechanism::Atmem) {
-    stageLookahead(Classes);
-    updateBackoff();
-  }
-
   logInfo("optimize: moved %llu bytes in %llu ranges, %.3f ms simulated",
           static_cast<unsigned long long>(Result.BytesMoved),
           static_cast<unsigned long long>(Result.Ranges),
@@ -601,14 +569,6 @@ void Runtime::captureEpochSample(const mem::MigrationResult &Result,
     S.Retries = EpochRetries;
     S.Rollbacks = EpochRollbacks - RollbacksBefore;
     S.MigrateSimSec = Result.SimSeconds;
-    // The lookahead stats are cumulative; the sample reports this epoch's
-    // delta so the series plots activity, not running totals.
-    S.LookaheadStaged = LkStats.StagedRanges - TsPrevStaged;
-    S.LookaheadCancelled = LkStats.CancelledRanges - TsPrevCancelled;
-    S.LookaheadOverlapSec = LkStats.OverlappedSimSec - TsPrevOverlap;
-    TsPrevStaged = LkStats.StagedRanges;
-    TsPrevCancelled = LkStats.CancelledRanges;
-    TsPrevOverlap = LkStats.OverlappedSimSec;
     S.FastDataRatio = fastDataRatio();
     S.OptimizeWallUs = WallUs;
     S.IterationWallUs = IterWallUs;
@@ -1212,89 +1172,29 @@ void Runtime::replayTlbBatched() {
   // page or 512 small ones), so once a miss resolves huge, every
   // following miss in the same 2 MiB frame shares that translation —
   // one translation per run instead of one per miss.
-  //
-  // The replay is software-pipelined at block granularity. Per block:
-  // derive every miss's huge VPN with one SIMD shift pass, then
-  // gather-probe the translation cache for all of them at once — the
-  // probes are independent random loads over a 64 KiB slot array, so
-  // batching lets their cache misses overlap each other and the TLB
-  // accesses of the *previous* runs instead of serializing
-  // probe → access → probe per miss; a prefetch starts the next run's
-  // TLB set row while the current access retires. A block-start hint can
-  // only be stale in the safe direction: a hit means the region WAS
-  // cached huge under a quiescent table, so it is truly huge-mapped and
-  // the verdict (huge-array access with this VPN) is exactly what the
-  // sequential probe would produce; a stale miss falls through to the
-  // same probe-then-translate path as before. TLB verdicts, counters,
-  // and LRU state are therefore bit-identical to the unpipelined loop —
-  // only the translation cache's internal diagnostics can differ.
   sim::TlbArray &HugeTlb = Tlb.hugeArray();
   sim::TlbArray &SmallTlb = Tlb.smallArray();
   uint64_t RunHugeVpn = ~0ull;
 
-  // The pipeline's derive/probe passes only pay once the probe working
-  // set (one huge slot per mapped 2 MiB) outgrows L1 and scalar probes
-  // start stalling; small working sets keep the slots cache-hot, so the
-  // single-pass run-skip loop below is strictly cheaper there. Both
-  // paths leave bit-identical TLB state (the gate is a pure perf
-  // choice), measured at the crossover in RuntimeConfig's knob comment.
-  bool GatherReplay =
-      Registry.totalMappedBytes() >= Config.GatherReplayMinMappedBytes;
-  if (!GatherReplay) {
-    for (auto &Ctx : Contexts)
-      for (uint64_t Va : Ctx->missBuffer()) {
-        uint64_t HugeVpn = Va >> 21;
-        if (HugeVpn == RunHugeVpn || Cache.isCachedHuge(HugeVpn)) {
-          RunHugeVpn = HugeVpn;
-          HugeTlb.accessVpn(HugeVpn);
-          continue;
-        }
-        uint64_t PageBytes;
-        if (!Cache.translatePageBytes(Va, PageBytes))
-          continue;
-        if (PageBytes == sim::HugePageBytes) {
-          RunHugeVpn = HugeVpn;
-          HugeTlb.accessVpn(HugeVpn);
-        } else {
-          RunHugeVpn = ~0ull;
-          SmallTlb.access(Va);
-        }
+  for (auto &Ctx : Contexts)
+    for (uint64_t Va : Ctx->missBuffer()) {
+      uint64_t HugeVpn = Va >> 21;
+      if (HugeVpn == RunHugeVpn || Cache.isCachedHuge(HugeVpn)) {
+        RunHugeVpn = HugeVpn;
+        HugeTlb.accessVpn(HugeVpn);
+        continue;
       }
-    return;
-  }
-
-  constexpr size_t BlockMisses = 4096;
-  for (auto &Ctx : Contexts) {
-    const std::vector<uint64_t> &Buf = Ctx->missBuffer();
-    for (size_t Base = 0; Base < Buf.size(); Base += BlockMisses) {
-      size_t N = std::min(BlockMisses, Buf.size() - Base);
-      VpnScratch.resize(N);
-      HugeHintScratch.resize(N);
-      sim::batchShiftRight(Buf.data() + Base, N, 21, VpnScratch.data());
-      Cache.probeHugeBatch(VpnScratch.data(), N, HugeHintScratch.data());
-      for (size_t I = 0; I < N; ++I) {
-        uint64_t HugeVpn = VpnScratch[I];
-        if (I + 1 < N && VpnScratch[I + 1] != HugeVpn)
-          HugeTlb.prefetchVpn(VpnScratch[I + 1]);
-        if (HugeVpn == RunHugeVpn || HugeHintScratch[I] ||
-            Cache.isCachedHuge(HugeVpn)) {
-          RunHugeVpn = HugeVpn;
-          HugeTlb.accessVpn(HugeVpn);
-          continue;
-        }
-        uint64_t PageBytes;
-        if (!Cache.translatePageBytes(Buf[Base + I], PageBytes))
-          continue;
-        if (PageBytes == sim::HugePageBytes) {
-          RunHugeVpn = HugeVpn;
-          HugeTlb.accessVpn(HugeVpn);
-        } else {
-          RunHugeVpn = ~0ull;
-          SmallTlb.access(Buf[Base + I]);
-        }
+      uint64_t PageBytes;
+      if (!Cache.translatePageBytes(Va, PageBytes))
+        continue;
+      if (PageBytes == sim::HugePageBytes) {
+        RunHugeVpn = HugeVpn;
+        HugeTlb.accessVpn(HugeVpn);
+      } else {
+        RunHugeVpn = ~0ull;
+        SmallTlb.access(Va);
       }
     }
-  }
 }
 
 double Runtime::fastDataRatio() const {
@@ -1317,237 +1217,4 @@ void Runtime::replayTlbAccessUncached(uint64_t Va) {
   sim::Translation T;
   if (M.pageTable().translate(Va, T))
     ReplayTlb->access(Va, T.PageBytes);
-}
-
-//===----------------------------------------------------------------------===//
-// Lookahead pipeline
-//===----------------------------------------------------------------------===//
-
-void Runtime::joinLookaheadCopies() {
-  if (LookaheadCopyThread.joinable())
-    LookaheadCopyThread.join();
-}
-
-void Runtime::shutdownLookahead() {
-  joinLookaheadCopies();
-  // Silent unmap (no events): the decision log may already be finalized
-  // during teardown, and a destructed runtime's staging regions must not
-  // outlive it either way.
-  for (const mem::StagedAheadRange &Staged : StagedRanges)
-    M.pageTable().unmapRegion(Staged.StagingVa, Staged.Len);
-  StagedRanges.clear();
-}
-
-bool Runtime::skipConvergedEpoch() {
-  if (!Config.Lookahead.AdaptiveEpochs || BackoffRemaining == 0 ||
-      !StagedRanges.empty())
-    return false;
-  // Drift detection on the last iteration's per-tier miss split: a
-  // converged placement serves most misses from the fast tier, so a
-  // slow-heavy split means the access pattern moved and the back-off must
-  // yield to a full analysis epoch immediately.
-  uint64_t FastMisses = Stats.TierMisses[sim::tierIndex(sim::TierId::Fast)];
-  uint64_t SlowMisses = Stats.TierMisses[sim::tierIndex(sim::TierId::Slow)];
-  if (FastMisses + SlowMisses > 0) {
-    double SlowFraction = static_cast<double>(SlowMisses) /
-                          static_cast<double>(FastMisses + SlowMisses);
-    if (SlowFraction >= Config.Lookahead.DriftSlowMissFraction) {
-      BackoffRemaining = 0;
-      BackoffLen = 0;
-      ConvergedStreak = 0;
-      logInfo("optimize: drift detected (%.0f%% slow-tier misses), "
-              "re-arming analysis",
-              SlowFraction * 100.0);
-      return false;
-    }
-  }
-  --BackoffRemaining;
-  ++LkStats.BackedOffEpochs;
-  logInfo("optimize: placement converged, backing off (%u epochs left)",
-          BackoffRemaining);
-  return true;
-}
-
-void Runtime::resolveStagedAhead(mem::MigrationResult &Result) {
-  for (mem::StagedAheadRange &Staged : StagedRanges) {
-    // Freed object: nothing to place, just release the staging region
-    // (the migrator's event-emitting cancel path needs the live object).
-    bool Live = false;
-    for (const mem::DataObject *Obj : Registry.liveObjects())
-      if (Obj->id() == Staged.Object) {
-        Live = true;
-        break;
-      }
-    if (!Live) {
-      M.pageTable().unmapRegion(Staged.StagingVa, Staged.Len);
-      ++LkStats.CancelledRanges;
-      continue;
-    }
-    mem::DataObject &Obj = Registry.object(Staged.Object);
-    if (!Staged.CopyDone)
-      ++LkStats.CopyFaults;
-
-    // A staged range commits only when the *fresh* plan independently
-    // selects every chunk of it and the chunks are still where the stage
-    // left them — predictions confirm placement decisions, they never
-    // make them. Everything else is a cancelled prefetch: the staging
-    // buffer unmaps and placement is exactly what a run without
-    // lookahead would have produced.
-    bool Confirmed = Staged.CopyDone;
-    for (uint32_t C = Staged.Range.FirstChunk;
-         Confirmed && C < Staged.Range.FirstChunk + Staged.Range.NumChunks;
-         ++C)
-      Confirmed = Obj.chunkTier(C) == Staged.Source;
-    if (Confirmed) {
-      bool Selected = false;
-      for (const analyzer::ObjectPlan &ObjPlan : LastPlan.Objects) {
-        if (ObjPlan.Object != Staged.Object)
-          continue;
-        Selected = true;
-        for (uint32_t C = Staged.Range.FirstChunk;
-             Selected &&
-             C < Staged.Range.FirstChunk + Staged.Range.NumChunks;
-             ++C) {
-          bool InPlan = false;
-          for (const mem::ChunkRange &Range : ObjPlan.Ranges)
-            if (C >= Range.FirstChunk &&
-                C < Range.FirstChunk + Range.NumChunks) {
-              InPlan = true;
-              break;
-            }
-          Selected = InPlan;
-        }
-        break;
-      }
-      Confirmed = Selected;
-    }
-
-    if (!Confirmed) {
-      AtmemMig.cancelStagedAhead(Obj, Staged, sim::TierId::Fast);
-      ++LkStats.CancelledRanges;
-      continue;
-    }
-    mem::MigrationStatus Status =
-        AtmemMig.commitStagedAhead(Obj, Staged, sim::TierId::Fast, Result);
-    if (Status == mem::MigrationStatus::Success) {
-      ++LkStats.CommittedRanges;
-      LkStats.OverlappedSimSec += Staged.OverlappedSimSec;
-      noteHealthMigration(Staged.Object, Staged.Range.FirstChunk,
-                          Staged.Range.NumChunks, /*ToFast=*/true);
-    } else {
-      // The failed commit already cancelled itself (staging released,
-      // placement untouched); the chunks stay eligible for the demand
-      // path below.
-      ++LkStats.CancelledRanges;
-      ++EpochRollbacks;
-    }
-  }
-  StagedRanges.clear();
-}
-
-void Runtime::stageLookahead(
-    const std::vector<analyzer::ObjectClassification> &Classes) {
-  if (!Lookahead)
-    Lookahead =
-        std::make_unique<analyzer::LookaheadPlanner>(Config.Lookahead.Planner);
-  Lookahead->observeEpoch(Classes, EpochRenominated, EpochRollbacks,
-                          Skipped.size());
-  std::vector<analyzer::LookaheadPrediction> Predictions =
-      Lookahead->predict();
-  LkStats.PredictedChunks += Predictions.size();
-  if (Predictions.empty())
-    return;
-
-  // Hard capacity budget: a slice of the post-migration fast free bytes,
-  // with every staged byte holding 2x through the pipeline (the staging
-  // buffer now plus the commit-time remap). Predictions are taken in
-  // priority order; one that does not fit is skipped, not queued.
-  uint64_t Budget = static_cast<uint64_t>(
-      static_cast<double>(M.allocator(sim::TierId::Fast).freeBytes()) *
-      Config.Lookahead.CapacityFraction);
-  uint64_t Held = 0;
-  struct Pick {
-    mem::ObjectId Object;
-    uint32_t Chunk;
-  };
-  std::vector<Pick> Picks;
-  for (const analyzer::LookaheadPrediction &P : Predictions) {
-    bool Live = false;
-    for (const mem::DataObject *Obj : Registry.liveObjects())
-      if (Obj->id() == P.Object) {
-        Live = true;
-        break;
-      }
-    if (!Live)
-      continue;
-    mem::DataObject &Obj = Registry.object(P.Object);
-    if (P.Chunk >= Obj.numChunks() ||
-        Obj.chunkTier(P.Chunk) != sim::TierId::Slow)
-      continue;
-    auto [Begin, End] = Obj.rangeBytes({P.Chunk, 1});
-    uint64_t Bytes = End - Begin;
-    if (Bytes == 0 || Held + 2 * Bytes > Budget)
-      continue;
-    Held += 2 * Bytes;
-    Picks.push_back({P.Object, P.Chunk});
-  }
-  if (Picks.empty())
-    return;
-
-  // Group per object and merge adjacent chunks into contiguous ranges so
-  // each staging buffer covers one run.
-  std::sort(Picks.begin(), Picks.end(), [](const Pick &A, const Pick &B) {
-    if (A.Object != B.Object)
-      return A.Object < B.Object;
-    return A.Chunk < B.Chunk;
-  });
-  size_t Before = StagedRanges.size();
-  for (size_t I = 0; I < Picks.size();) {
-    mem::ObjectId Id = Picks[I].Object;
-    std::vector<mem::ChunkRange> Ranges;
-    while (I < Picks.size() && Picks[I].Object == Id) {
-      uint32_t First = Picks[I].Chunk;
-      uint32_t Last = First;
-      ++I;
-      while (I < Picks.size() && Picks[I].Object == Id &&
-             Picks[I].Chunk == Last + 1) {
-        Last = Picks[I].Chunk;
-        ++I;
-      }
-      Ranges.push_back({First, Last - First + 1});
-    }
-    AtmemMig.stageAhead(Registry.object(Id), Ranges, sim::TierId::Fast,
-                        StagedRanges);
-  }
-  LkStats.StagedRanges += StagedRanges.size() - Before;
-  if (StagedRanges.empty())
-    return;
-
-  // Launch the overlapped copies: one background thread drives the
-  // migration pool through each staged range while the application
-  // computes. joinLookaheadCopies() settles it before anything reads
-  // CopyDone.
-  LookaheadCopyThread = std::thread([this] {
-    for (mem::StagedAheadRange &Staged : StagedRanges)
-      AtmemMig.copyStagedAhead(Staged, sim::TierId::Fast);
-  });
-}
-
-void Runtime::updateBackoff() {
-  if (!Config.Lookahead.AdaptiveEpochs)
-    return;
-  bool Quiet = Lookahead && Lookahead->converged() && StagedRanges.empty() &&
-               Skipped.empty();
-  if (!Quiet) {
-    ConvergedStreak = 0;
-    return;
-  }
-  if (++ConvergedStreak < Config.Lookahead.ConvergedEpochsToBackoff)
-    return;
-  // Doubling windows: converged placements earn exponentially longer
-  // analysis holidays, capped, and drift resets the ladder.
-  BackoffLen = BackoffLen == 0 ? 1
-                               : std::min(BackoffLen * 2,
-                                          Config.Lookahead.MaxBackoffEpochs);
-  BackoffRemaining = BackoffLen;
 }

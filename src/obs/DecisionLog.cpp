@@ -205,10 +205,6 @@ const char *obs::decisionPhaseName(DecisionPhase Phase) {
     return "skipped";
   case DecisionPhase::Renominated:
     return "renominated";
-  case DecisionPhase::StagedAhead:
-    return "staged_ahead";
-  case DecisionPhase::PrefetchCancelled:
-    return "prefetch_cancelled";
   }
   return "unknown";
 }
@@ -685,6 +681,9 @@ bool obs::validateDecisionLog(const DecisionArtifact &Artifact,
       if (R.NameId != 0 && !Defined.count(R.NameId))
         return fail("ObjectEpoch references undefined name id " +
                     std::to_string(R.NameId));
+      if (R.Winner > ThetaWinner::NoiseFloor)
+        return fail("ObjectEpoch has unknown theta winner " +
+                    std::to_string(static_cast<unsigned>(R.Winner)));
       ObjectSeen[key(R.Epoch, R.Object)] = 1;
       ++Local.Objects;
       break;
@@ -709,6 +708,9 @@ bool obs::validateDecisionLog(const DecisionArtifact &Artifact,
       if (R.FaultSiteNameId != 0 && !Defined.count(R.FaultSiteNameId))
         return fail("MigrationEvent references undefined fault site id " +
                     std::to_string(R.FaultSiteNameId));
+      if (R.Phase > DecisionPhase::Renominated)
+        return fail("MigrationEvent has unknown phase " +
+                    std::to_string(static_cast<unsigned>(R.Phase)));
       switch (R.Phase) {
       case DecisionPhase::Committed:
         ++Local.CommittedRanges;
@@ -724,12 +726,6 @@ bool obs::validateDecisionLog(const DecisionArtifact &Artifact,
         break;
       case DecisionPhase::Renominated:
         ++Local.Renominated;
-        break;
-      case DecisionPhase::StagedAhead:
-        ++Local.StagedAhead;
-        break;
-      case DecisionPhase::PrefetchCancelled:
-        ++Local.PrefetchCancelled;
         break;
       default:
         break;
@@ -847,8 +843,6 @@ bool obs::crossCheckDecisionMetrics(const DecisionArtifact &Artifact,
       {"migration.retries", Stats.Retried},
       {"migration.skipped_renominated", Stats.Renominated},
       {"analyzer.chunks_estimated_critical", Stats.PromotedChunks},
-      {"lookahead.staged_ranges", Stats.StagedAhead},
-      {"lookahead.cancelled_ranges", Stats.PrefetchCancelled},
   };
   for (const Check &C : Checks) {
     uint64_t FromMetrics = counter(C.Counter);

@@ -18,9 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
+
+#include <sys/wait.h>
 
 using namespace atmem;
 using namespace atmem::obs;
@@ -227,6 +230,96 @@ TEST_F(DecisionLogTest, ValidatorRejectsCorruption) {
   // The untouched original still validates.
   Artifact = readBack(Path);
   EXPECT_TRUE(validateDecisionLog(Artifact, &Error)) << Error;
+}
+
+TEST_F(DecisionLogTest, ValidatorRejectsUnknownEnumBytes) {
+  std::string Path = tempPath("decision_enums.atdl");
+  DecisionLog &Log = DecisionLog::instance();
+  ASSERT_TRUE(Log.open(Path));
+  Log.beginEpoch();
+  ObjectEpochRecord Obj;
+  Obj.Object = 1;
+  Obj.Winner = ThetaWinner::NoiseFloor;
+  Log.recordObject(Obj);
+  MigrationEventRecord Mig;
+  Mig.Object = 1;
+  Mig.NumChunks = 1;
+  Mig.Phase = DecisionPhase::Renominated;
+  Log.recordMigration(Mig);
+  ASSERT_TRUE(Log.close());
+
+  std::string Bytes;
+  {
+    std::ifstream In(Path, std::ios::binary);
+    std::stringstream Buf;
+    Buf << In.rdbuf();
+    Bytes = Buf.str();
+  }
+  // Walk the u32-length-prefixed frames after the 8-byte header to find
+  // each record's payload; byte 0 of a payload is its kind.
+  size_t ObjectPayload = 0, MigrationPayload = 0;
+  for (size_t Pos = 8; Pos + 5 <= Bytes.size();) {
+    uint32_t Len = 0;
+    for (int I = 0; I < 4; ++I)
+      Len |= static_cast<uint32_t>(static_cast<uint8_t>(Bytes[Pos + I]))
+             << (8 * I);
+    auto Kind = static_cast<DecisionKind>(Bytes[Pos + 4]);
+    if (Kind == DecisionKind::ObjectEpoch)
+      ObjectPayload = Pos + 4;
+    if (Kind == DecisionKind::MigrationEvent)
+      MigrationPayload = Pos + 4;
+    Pos += 4 + Len;
+  }
+  ASSERT_NE(ObjectPayload, 0u);
+  ASSERT_NE(MigrationPayload, 0u);
+  // Payload offsets: ObjectEpoch's winner follows kind, epoch, object,
+  // name, chunk count, chunk bytes, period, weight, rank, ranked count
+  // and five f64 theta terms; MigrationEvent's phase follows kind, epoch,
+  // object, first chunk, chunk count and the target flag.
+  const size_t WinnerByte = ObjectPayload + 93;
+  const size_t PhaseByte = MigrationPayload + 22;
+  ASSERT_EQ(static_cast<uint8_t>(Bytes[WinnerByte]),
+            static_cast<uint8_t>(ThetaWinner::NoiseFloor));
+  ASSERT_EQ(static_cast<uint8_t>(Bytes[PhaseByte]),
+            static_cast<uint8_t>(DecisionPhase::Renominated));
+
+  // The unpatched log is valid.
+  DecisionArtifact Artifact = readBack(Path);
+  std::string Error;
+  ASSERT_TRUE(validateDecisionLog(Artifact, &Error)) << Error;
+
+  struct Patch {
+    size_t Offset;
+    uint8_t Value;
+    const char *Expect;
+  };
+  // Any phase byte past Renominated (older logs used 9 and 10 for
+  // prefetch events) and any theta winner past NoiseFloor is unknown.
+  const Patch Patches[] = {{PhaseByte, 9, "unknown phase 9"},
+                           {PhaseByte, 10, "unknown phase 10"},
+                           {PhaseByte, 0xff, "unknown phase 255"},
+                           {WinnerByte, 3, "unknown theta winner 3"}};
+  for (const Patch &P : Patches) {
+    SCOPED_TRACE(P.Expect);
+    std::string Variant = Bytes;
+    Variant[P.Offset] = static_cast<char>(P.Value);
+    std::string VariantPath = tempPath("decision_enums_variant.atdl");
+    {
+      std::ofstream Out(VariantPath, std::ios::binary | std::ios::trunc);
+      Out.write(Variant.data(), static_cast<std::streamsize>(Variant.size()));
+    }
+    DecisionArtifact Patched;
+    ASSERT_TRUE(readDecisionLog(VariantPath, Patched, &Error)) << Error;
+    EXPECT_FALSE(validateDecisionLog(Patched, &Error));
+    EXPECT_NE(Error.find(P.Expect), std::string::npos) << Error;
+    EXPECT_EQ(diagnoseDecisionLog(VariantPath), DecisionLogHealth::Corrupt);
+    std::string Command = std::string(ATMEM_OBS_CHECK_PATH) +
+                          " --decision-log " + VariantPath +
+                          " > /dev/null 2>&1";
+    int Status = std::system(Command.c_str());
+    ASSERT_TRUE(WIFEXITED(Status)) << Command;
+    EXPECT_EQ(WEXITSTATUS(Status), 6) << Command; // The "corrupt" class.
+  }
 }
 
 //===----------------------------------------------------------------------===//

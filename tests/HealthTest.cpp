@@ -107,7 +107,7 @@ TEST_F(HealthTest, KnobParserAppliesOverridesAndRejectsGarbage) {
   std::string Error;
   ASSERT_TRUE(parseHealthKnobs(
       "ewma_alpha=0.5,cusum_warn=0.2,warmup_epochs=4,storm_min_ranges=16,"
-      "pingpong_window=8,waste_warn_ratio=0.25,overhead_critical=2.0,"
+      "pingpong_window=8,pingpong_warn_flips=2,overhead_critical=2.0,"
       "stale_slow_miss=0.75",
       Cfg, &Error))
       << Error;
@@ -116,7 +116,7 @@ TEST_F(HealthTest, KnobParserAppliesOverridesAndRejectsGarbage) {
   EXPECT_EQ(Cfg.WarmupEpochs, 4u);
   EXPECT_EQ(Cfg.StormMinRanges, 16u);
   EXPECT_EQ(Cfg.PingPongWindowEpochs, 8u);
-  EXPECT_DOUBLE_EQ(Cfg.WasteWarnRatio, 0.25);
+  EXPECT_EQ(Cfg.PingPongWarnFlips, 2u);
   EXPECT_DOUBLE_EQ(Cfg.OverheadCriticalFraction, 2.0);
   EXPECT_DOUBLE_EQ(Cfg.StaleSlowMissFraction, 0.75);
   // Untouched knobs keep their defaults.
@@ -305,35 +305,6 @@ TEST_F(HealthTest, PingPongCountsDirectionFlipsInWindow) {
   expectEvent(All[2], 5, HealthDetector::PingPong, HealthSeverity::Warn);
   EXPECT_EQ(All[2].Detail.rfind("easing: ", 0), 0u);
   expectEvent(All[3], 6, HealthDetector::PingPong, HealthSeverity::Info);
-}
-
-TEST_F(HealthTest, LookaheadWasteJudgesWindowRatio) {
-  HealthMonitor Mon;
-  std::vector<HealthEvent> All;
-  auto Feed = [&](uint64_t Epoch, uint64_t Staged, uint64_t Cancelled) {
-    EpochSample S = quietSample(Epoch);
-    S.LookaheadStaged = Staged;
-    S.LookaheadCancelled = Cancelled;
-    for (HealthEvent &E : Mon.observeEpoch(S))
-      All.push_back(std::move(E));
-  };
-  Feed(1, 10, 0);  // ratio 0 -> green
-  Feed(2, 10, 16); // 16/20 = 0.8 -> warn
-  Feed(3, 0, 20);  // 36/20 = 1.8 -> critical
-  Feed(4, 0, 0);   // window still saturated -> red, no event
-  Feed(5, 0, 0);
-  Feed(6, 0, 0);   // staging fell out of the window -> recovered
-
-  ASSERT_EQ(All.size(), 3u);
-  expectEvent(All[0], 2, HealthDetector::LookaheadWaste, HealthSeverity::Warn);
-  EXPECT_NEAR(All[0].Value, 0.8, 1e-9);
-  expectEvent(All[1], 3, HealthDetector::LookaheadWaste,
-              HealthSeverity::Critical);
-  EXPECT_NEAR(All[1].Value, 1.8, 1e-9);
-  EXPECT_NE(All[1].Detail.find("36 of 20 staged ranges cancelled"),
-            std::string::npos)
-      << All[1].Detail;
-  expectEvent(All[2], 6, HealthDetector::LookaheadWaste, HealthSeverity::Info);
 }
 
 TEST_F(HealthTest, OverheadBudgetComparesOptimizeToIterationWall) {

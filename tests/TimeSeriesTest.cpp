@@ -57,9 +57,6 @@ EpochSample sampleOne() {
   S.Retries = 1;
   S.Rollbacks = 0;
   S.MigrateSimSec = 0.0125;
-  S.LookaheadStaged = 2;
-  S.LookaheadCancelled = 1;
-  S.LookaheadOverlapSec = 0.5;
   S.FastDataRatio = 0.25;
   S.OptimizeWallUs = 842.0;
   return S;
@@ -148,9 +145,6 @@ TEST_F(TimeSeriesTest, JsonlEveryLineParsesAndFieldsRoundTrip) {
   EXPECT_EQ(number(Doc, "retries"), 1.0);
   EXPECT_EQ(number(Doc, "rollbacks"), 0.0);
   EXPECT_DOUBLE_EQ(number(Doc, "migrate_sim_sec"), 0.0125);
-  EXPECT_EQ(number(Doc, "lookahead_staged"), 2.0);
-  EXPECT_EQ(number(Doc, "lookahead_cancelled"), 1.0);
-  EXPECT_DOUBLE_EQ(number(Doc, "lookahead_overlap_sec"), 0.5);
   EXPECT_DOUBLE_EQ(number(Doc, "fast_data_ratio"), 0.25);
   EXPECT_DOUBLE_EQ(number(Doc, "optimize_wall_us"), 842.0);
 
